@@ -134,6 +134,9 @@ class Simulator:
     def step(self) -> None:
         """Process exactly one event.
 
+        The single-event reference body: non-batched schedulers run through
+        it, and the batched drain behind :meth:`run` mirrors it.
+
         Raises:
             SimulationError: If the queue is empty, or an event failed and no
                 process handled (defused) its exception.
@@ -166,33 +169,29 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
+        Events at exactly ``until`` are dispatched; if the queue drains
+        first, the clock still advances to ``until``.
+
         Returns:
             The simulated time when the run stopped.
         """
-        if until is None:
-            if self._scheduler.batched:
-                return self._run_batched()
-            return self._run_drain()
-        if until < self._now:
-            raise SimulationError(f"cannot run until {until!r}, already at {self._now!r}")
+        limit = _INF
+        if until is not None:
+            if until < self._now:
+                raise SimulationError(f"cannot run until {until!r}, already at {self._now!r}")
+            limit = until
         scheduler = self._scheduler
-        step = self.step
-        while True:
-            when = scheduler.next_time()
-            if when == _INF:
-                break
-            if when > until:
-                self._now = until
-                return until
-            step()
-        # The queue drained before reaching ``until``: the clock still
-        # advances to the requested horizon.
-        if until > self._now:
+        if scheduler.batched:
+            self._drain(limit)
+        else:
+            while scheduler and scheduler.next_time() <= limit:
+                self.step()
+        if until is not None and until > self._now:
             self._now = until
         return self._now
 
-    def _run_batched(self) -> float:
-        """Drain a batched (calendar-queue) scheduler bucket-at-a-time.
+    def _drain(self, limit: float) -> None:
+        """Dispatch a batched (calendar-queue) scheduler up to ``limit``.
 
         One bucket holds every event of one distinct timestamp; the loop
         sets ``self._now`` once per bucket and dispatches the whole run
@@ -200,8 +199,8 @@ class Simulator:
         before every dispatch and the list lengths are re-read live, so
         events scheduled *during* the drain — same-time handoffs, urgent
         interrupts — are picked up in exactly the ``(when, rank, seq)``
-        order the heap backend would produce.  The body of the dispatch
-        must stay semantically identical to step().
+        order the heap backend would produce.  The dispatch body mirrors
+        step(), the single-event reference.
         """
         scheduler = self._scheduler
         obs = self.obs
@@ -211,6 +210,8 @@ class Simulator:
         try:
             while times:
                 when = times[0]
+                if when > limit:
+                    break
                 if when < self._now:
                     raise SimulationError("event scheduled in the past (scheduler bug)")
                 self._now = when
@@ -261,40 +262,6 @@ class Simulator:
                 heappop(times)
         finally:
             self.events_dispatched += dispatched
-        return self._now
-
-    def _run_drain(self) -> float:
-        """Drain a generic scheduler through its pop() interface."""
-        pop = self._scheduler.pop
-        obs = self.obs
-        dispatched = 0
-        try:
-            while True:
-                entry = pop()
-                if entry is None:
-                    break
-                when, event = entry
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past (scheduler bug)")
-                self._now = when
-                dispatched += 1
-                if obs.enabled:
-                    obs.on_step(event, when)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if event._ok is False and not event._defused:
-                    exc = event._value
-                    raise SimulationError(
-                        f"unhandled failure in simulation: {exc!r}"
-                    ) from exc
-        finally:
-            self.events_dispatched += dispatched
-        return self._now
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Start ``generator`` as a process, run to completion, return its value.

@@ -10,7 +10,7 @@ only ever talks to it through four operations:
 * ``next_time()`` — time of the next event (``inf`` if empty),
 * ``len()`` / truthiness — pending-event count.
 
-Two implementations are provided:
+Three implementations are provided:
 
 :class:`HeapScheduler`
     The classic binary heap of ``(when, rank, seq, event)`` tuples.  Cost is
@@ -32,12 +32,18 @@ Two implementations are provided:
     (``_URGENT == 0``, ``_NORMAL == 1``), and no per-event sequence number
     is needed at all: list append order *is* insertion order.
 
-The simulator's drain loop additionally special-cases schedulers with
-``batched = True`` (see :meth:`repro.sim.core.Simulator.run`): it dispatches
-a whole bucket without re-entering the scheduler, re-checking the urgent
-list before every pop so urgent events scheduled mid-drain (interrupts,
-process initialization) still overtake pending normal events exactly as the
-heap order demands.
+:class:`ShuffleScheduler`
+    The chaos backend: a calendar queue whose push permutes each
+    ``(when, rank)`` list with a seeded generator.
+
+Schedulers with ``batched = True`` (the calendar queue and its shuffle
+variant) are dispatched, for both ``run()`` and ``run(until=...)``, by the
+simulator's single drain loop (:meth:`repro.sim.core.Simulator.run`).  It
+walks a whole bucket without re-entering the scheduler, re-checking the
+urgent list before every pop so urgent events scheduled mid-drain
+(interrupts, process initialization) still overtake pending normal events
+exactly as the heap order demands.  Other schedulers are stepped one event
+at a time through the four operations above.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ class EventScheduler:
     """Interface every kernel scheduler implements.
 
     ``batched`` marks schedulers whose internals the drain loop may walk
-    bucket-at-a-time; the generic loop only uses the four methods below.
+    bucket-at-a-time; other schedulers are stepped through the four
+    methods below.
     """
 
     __slots__ = ()
@@ -121,9 +128,10 @@ class CalendarQueue(EventScheduler):
     Bucket layout: ``_buckets[when]`` is a 4-slot list
     ``[urgent_events, normal_events, urgent_cursor, normal_cursor]``.
     Events are never removed from a bucket's lists; the cursors advance
-    over them and the whole bucket is dropped once both lists are
-    exhausted.  Because ``_URGENT == 0`` and ``_NORMAL == 1``, the rank a
-    caller passes to :meth:`push` indexes the bucket directly.
+    over them, nulling each consumed slot, and the whole bucket is dropped
+    once both lists are exhausted.  Because ``_URGENT == 0`` and
+    ``_NORMAL == 1``, the rank a caller passes to :meth:`push` indexes the
+    bucket directly.
     """
 
     __slots__ = ("_buckets", "_times")
@@ -188,11 +196,8 @@ class CalendarQueue(EventScheduler):
             len(b[0]) - b[2] + len(b[1]) - b[3] for b in self._buckets.values()
         )
 
-    def __bool__(self) -> bool:
-        return self.next_time() != _INF
 
-
-class ShuffleScheduler(EventScheduler):
+class ShuffleScheduler(CalendarQueue):
     """Chaos backend: a legal dispatch order that is *not* insertion order.
 
     The kernel's determinism contract pins the total order
@@ -205,70 +210,40 @@ class ShuffleScheduler(EventScheduler):
     :mod:`repro.analysis.sanitize`): any divergence means some component
     relied on same-instant insertion order.
 
-    The permutation is swap-remove (pick a random live index, backfill with
-    the last element), so push and pop stay ``O(1)`` amortized and the
-    shuffle is a pure function of the seed and the push/pop interleaving.
-    Never the default — selected explicitly (``scheduler="shuffle"`` or an
-    instance with a chosen seed) or through :func:`scheduler_override`.
+    It is a calendar queue in every other respect, so chaos replays run
+    the production batched drain.  Each push is one inside-out
+    Fisher–Yates step: the new event swaps places with a seeded-random
+    *unconsumed* slot of its ``(when, rank)`` list, so the order is a pure
+    function of the seed and the push/pop interleaving.  Never the
+    default — selected explicitly (``scheduler="shuffle"`` or an instance
+    with a chosen seed) or through :func:`scheduler_override`.
     """
 
-    __slots__ = ("seed", "_rng", "_buckets", "_times", "_count")
+    __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int = 0) -> None:
+        super().__init__()
         self.seed = seed
         self._rng = random.Random(seed)
-        # when -> [urgent list, normal list]; lists are unordered (swap-
-        # remove), which is the whole point.
-        self._buckets: Dict[float, List[List["Event"]]] = {}
-        self._times: List[float] = []  # heap of distinct pending times
-        self._count = 0
 
     def push(self, when: float, rank: int, event: "Event") -> None:
-        try:
-            self._buckets[when][rank].append(event)
-        except KeyError:
-            bucket: List[List["Event"]] = [[], []]
-            bucket[rank].append(event)
-            self._buckets[when] = bucket
-            heappush(self._times, when)
-        self._count += 1
-
-    def pop(self) -> Optional[Tuple[float, "Event"]]:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            for group in bucket:
-                size = len(group)
-                if size:
-                    index = self._rng.randrange(size) if size > 1 else 0
-                    event = group[index]
-                    group[index] = group[-1]
-                    group.pop()
-                    self._count -= 1
-                    return when, event
-            del buckets[when]
-            heappop(times)
-        return None
-
-    def next_time(self) -> float:
-        times = self._times
-        buckets = self._buckets
-        while times:
-            when = times[0]
-            bucket = buckets[when]
-            if bucket[0] or bucket[1]:
-                return when
-            del buckets[when]
-            heappop(times)
-        return _INF
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
+        CalendarQueue.push(self, when, rank, event)
+        bucket = self._buckets[when]
+        slots = bucket[rank]
+        last = len(slots) - 1
+        # The drain keeps its cursors in locals, so the stored cursor may
+        # lag; consumed slots are always None, so the live cursor is the end
+        # of the nulled prefix.
+        lo, hi = bucket[2 + rank], last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if slots[mid] is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        pick = self._rng.randrange(lo, last + 1)
+        slots[last] = slots[pick]
+        slots[pick] = event
 
 
 #: Registry of scheduler backends selectable by name.

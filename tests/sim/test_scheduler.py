@@ -12,6 +12,7 @@ produce identical event traces on either backend.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,11 @@ class TestSchedulerBasics:
         assert CalendarQueue.batched
         assert not HeapScheduler.batched
         assert not EventScheduler.batched
+
+    def test_shuffle_is_a_batched_calendar(self):
+        # Chaos replays run the production drain loop.
+        assert issubclass(ShuffleScheduler, CalendarQueue)
+        assert ShuffleScheduler.batched
 
     def test_simulator_exposes_its_scheduler(self):
         sim = Simulator(scheduler="heap")
@@ -347,6 +353,7 @@ class TestSimulatorTraceEquivalence:
         assert trace == [("interrupted", "wake up", 3.0)]
 
     def test_until_cutoff_agrees(self):
+        dispatched = {}
         for name in sorted(SCHEDULERS):
             sim = Simulator(scheduler=name)
             fired = []
@@ -355,11 +362,20 @@ class TestSimulatorTraceEquivalence:
                 yield sim.timeout(delay)
                 fired.append(sim.now)
 
-            for delay in (1.0, 2.0, 3.0, 4.0):
+            # The 2.5 and 4.0 waiters land exactly on a cutoff: events at
+            # ``until`` fire.
+            for delay in (1.0, 2.0, 2.5, 3.0, 4.0):
                 sim.process(waiter(delay))
             sim.run(until=2.5)
             assert sim.now == 2.5
-            assert fired == [1.0, 2.0], name
+            assert fired == [1.0, 2.0, 2.5], name
+            first = sim.events_dispatched
+            # A second call resumes the same simulator from the cutoff.
+            sim.run(until=4.0)
+            assert sim.now == 4.0
+            assert fired == [1.0, 2.0, 2.5, 3.0, 4.0], name
+            dispatched[name] = (first, sim.events_dispatched)
+        assert len(set(dispatched.values())) == 1, dispatched
 
     def test_events_dispatched_counts_agree(self):
         counts = {}
@@ -375,3 +391,102 @@ class TestSimulatorTraceEquivalence:
             sim.run()
             counts[name] = sim.events_dispatched
         assert len(set(counts.values())) == 1, counts
+
+
+def _crash_mid_bucket(scheduler_name):
+    """Fail an event mid-bucket under ``run(until=...)``, then resume.
+
+    Returns the tags fired before and after the resume, the lifetime
+    dispatch count, and the clock.
+    """
+    sim = Simulator(scheduler=scheduler_name)
+    fired = []
+    bad = sim.event()
+
+    def trigger():
+        yield sim.timeout(1.0)
+        bad.fail(ValueError("boom"))
+
+    def waiter(tag):
+        yield sim.timeout(1.0)
+        # Re-queues at the same instant, behind the failing event.
+        yield sim.timeout(0.0)
+        fired.append(tag)
+
+    sim.process(trigger())
+    for tag in range(6):
+        sim.process(waiter(tag))
+    with pytest.raises(SimulationError, match="boom"):
+        sim.run(until=2.0)
+    assert sim.now == 1.0
+    before = list(fired)
+    sim.run(until=2.0)
+    return before, fired, sim.events_dispatched, sim.now
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_failure_mid_bucket_resumes_each_event_once(name):
+    before, fired, dispatched, now = _crash_mid_bucket(name)
+    if name in _FIFO_SCHEDULERS:
+        assert before == []
+    assert len(before) < 6
+    assert sorted(fired) == list(range(6))
+    assert dispatched == _crash_mid_bucket("heap")[2]
+    assert now == 2.0
+
+
+#: Chaos seeds the simulator-level legality checks replay.
+_SHUFFLE_SEEDS = (0, 1, 2, 3, 4)
+
+
+def _assert_shuffles_are_legal(workload):
+    """Each shuffled trace is a permutation of the calendar trace whose
+    times never decrease; returns the calendar trace and the shuffled ones."""
+    reference = _run_traced("calendar", workload)
+    traces = [
+        _run_traced(ShuffleScheduler(seed), workload) for seed in _SHUFFLE_SEEDS
+    ]
+    for trace in traces:
+        assert Counter(trace) == Counter(reference)
+        times = [entry[-1] for entry in trace]
+        assert times == sorted(times)
+    return reference, traces
+
+
+class TestShuffleTraceLegality:
+    """Shuffled runs on the production drain reorder only same-instant events."""
+
+    def test_timeout_bursts(self):
+        def workload(sim, trace):
+            def waiter(index, delay):
+                yield sim.timeout(delay)
+                trace.append(("woke", index, sim.now))
+
+            for index, delay in enumerate([0.0, 1.0, 1.0, 1.0, 1.0, 2.0] * 4):
+                sim.process(waiter(index, delay))
+
+        reference, traces = _assert_shuffles_are_legal(workload)
+        assert any(trace != reference for trace in traces)
+
+    @given(items=st.lists(st.integers(), min_size=1, max_size=30),
+           capacity=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_store_handoffs(self, items, capacity):
+        # Handoffs push same-instant events while their bucket drains.
+        def workload(sim, trace):
+            store = Store(sim, capacity=capacity)
+
+            def producer():
+                for item in items:
+                    yield store.put(item)
+                    trace.append(("put", item, sim.now))
+
+            def consumer():
+                for _ in items:
+                    item = yield store.get()
+                    trace.append(("got", item, sim.now))
+
+            sim.process(producer())
+            sim.process(consumer())
+
+        _assert_shuffles_are_legal(workload)
