@@ -54,6 +54,33 @@ def test_kernel_throughput_full_tracing(benchmark):
     benchmark(lambda: _pingpong(Simulator(obs=Instrumentation())))
 
 
+BURST_TIMERS = 1000
+BURST_ROUNDS = 20
+
+
+def _bursts(sim):
+    """BURST_TIMERS timers firing together at each of BURST_ROUNDS instants."""
+
+    def ticker():
+        for _ in range(BURST_ROUNDS):
+            yield sim.timeout(1.0)
+
+    for _ in range(BURST_TIMERS):
+        sim.process(ticker())
+    sim.run()
+    return sim
+
+
+def test_kernel_bursts_metrics_only(benchmark):
+    """Metrics on, 1000 timers per shared instant: the kernel calls the
+    hub once per instant, so the hook cost is per burst, not per event."""
+    sim = benchmark(lambda: _bursts(
+        Simulator(obs=Instrumentation(tracer=NULL_TRACER, flows=NULL_FLOWS))
+    ))
+    assert sim.events_dispatched > BURST_TIMERS * BURST_ROUNDS
+    assert sim.obs.snapshot().counter("sim.events_processed") == sim.events_dispatched
+
+
 # ----------------------------------------------------------------------
 # Flow-tracing overhead (PR 2): the flow hooks live in the engine drivers
 # and network models, so they are exercised with a real query run, not a
@@ -96,8 +123,9 @@ def test_query_flows_enabled(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Live-telemetry overhead (PR 7): the sampler piggybacks on on_step, so
-# even *enabled* it schedules zero simulation events; disabled it is one
+# Live-telemetry overhead: the sampler piggybacks on on_step, which the
+# kernel calls once per simulated instant (not once per event), so even
+# *enabled* it schedules zero simulation events; disabled it is one
 # `live.enabled` attribute check on the shared NULL_LIVE singleton,
 # inside the hooks the earlier rows already measure.  The functional
 # zero-extra-events guarantee is pinned in tests/obs/test_live.py;

@@ -63,6 +63,7 @@ v2 JSON — the regression gate keeps reading only the scalar metrics.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -682,6 +683,19 @@ def _detector_kwargs(args) -> Optional[dict]:
     return kwargs or None
 
 
+def _window_seconds(text: str) -> float:
+    """argparse type of a live sampling window: finite, > 0 seconds."""
+    try:
+        window = float(text)
+    except ValueError:
+        window = float("nan")
+    if not (math.isfinite(window) and window > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"window must be a finite number of simulated seconds > 0, got {text!r}"
+        )
+    return window
+
+
 def _add_live_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--live-out", metavar="PATH", default=None,
@@ -689,7 +703,7 @@ def _add_live_flags(parser: argparse.ArgumentParser) -> None:
              "windowed time-series as JSON-lines",
     )
     parser.add_argument(
-        "--live-window", type=float, default=None, metavar="SECS",
+        "--live-window", type=_window_seconds, default=None, metavar="SECS",
         help="live sampling window in simulated seconds (implies the live "
              "sampler; --live-out alone uses the default window)",
     )
@@ -854,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI smoke scale: reduced payloads, same control loop",
     )
     a.add_argument(
-        "--window", type=float, default=None, metavar="SECS",
+        "--window", type=_window_seconds, default=None, metavar="SECS",
         help="live sampling window in simulated seconds (default 0.002)",
     )
     a.add_argument(
@@ -876,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
              "full bench point name (default fig8)",
     )
     t.add_argument(
-        "--window", type=float, default=None, metavar="SECS",
+        "--window", type=_window_seconds, default=None, metavar="SECS",
         help="sampling window in simulated seconds (default 0.002)",
     )
     t.add_argument("--seed", type=int, default=0, help="environment seed")

@@ -233,6 +233,7 @@ def utilization_summary(obs: Instrumentation, top: int = 20) -> str:
     slot held), stores by time-weighted mean level; counters follow in
     name order.  ``top`` truncates each section.
     """
+    obs.sync_events()
     now = obs.now
     lines = [f"observability summary @ t={now:.6f}s simulated"]
 

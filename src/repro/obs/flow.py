@@ -269,10 +269,10 @@ class FlowRecorder(NullFlowRecorder):
             wire *= scale
             processing *= scale
             queue_wait = 0.0
+        # Positional: the keyword form costs a dict build per hop.
         record.hops.append(Hop(
-            stage=stage, resource=resource, start=start, end=now,
-            serialize=serialize, queue_wait=queue_wait, wire=wire,
-            processing=processing,
+            stage, resource, start, now, serialize, queue_wait, wire,
+            processing,
         ))
         record._last_ts = now
 

@@ -7,6 +7,15 @@ behind an ``if sim.obs.enabled:`` guard, so a simulator carrying
 :data:`NULL_OBS` (the default) pays one attribute check per hook site and
 nothing else.
 
+The kernel calls :meth:`Instrumentation.on_step` once per distinct
+simulated instant, not once per event: the ``sim.events_processed``
+counter is the kernel's own dispatch count since :meth:`~Instrumentation.bind`,
+brought up to date at each instant and before every read.  The per-entity
+hooks resolve a resource's or store's metric names once and keep the
+registry instruments they fetched, so an acquire, release or store handoff
+updates its instruments directly instead of formatting names and looking
+them up on every call.
+
 The hub fans each observation out to
 
 * a :class:`~repro.obs.tracer.Tracer` (timeline records: who held which
@@ -19,16 +28,16 @@ either of which may be the null implementation independently.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.obs.flow import NULL_FLOWS, FlowRecorder, NullFlowRecorder
 from repro.obs.live import NULL_LIVE, NullLiveSampler
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import Counter, MetricsRegistry, MetricsSnapshot, TimeWeightedStat
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Simulator
-    from repro.sim.events import Event, Process, Timeout
+    from repro.sim.events import Process, Timeout
     from repro.sim.resources import Request, Resource, Store
 
 
@@ -47,6 +56,31 @@ class NullInstrumentation:
 
 #: Shared disabled instrumentation (one instance serves every simulator).
 NULL_OBS = NullInstrumentation()
+
+
+class _ResourceInstruments:
+    """One resource's metric key and the registry instruments resolved for it.
+
+    A resource's name and capacity are fixed at construction, so its key
+    is formatted once.  Each hook fetches the instruments it touches from
+    the registry on its first call for the resource — the moment a
+    per-call lookup would first have created them — so the registry's
+    contents and insertion order do not depend on this cache.
+    """
+
+    __slots__ = ("key", "track", "acquire", "wait", "withdraw", "release")
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.track = f"resource:{key}"
+        #: (acquires, busy, queue) of the acquire hook.
+        self.acquire: Optional[Tuple[Counter, TimeWeightedStat, TimeWeightedStat]] = None
+        #: (waits, queue) of the wait hook.
+        self.wait: Optional[Tuple[Counter, TimeWeightedStat]] = None
+        #: (withdrawals, queue) of the withdraw hook.
+        self.withdraw: Optional[Tuple[Counter, TimeWeightedStat]] = None
+        #: busy series of the release hook.
+        self.release: Optional[TimeWeightedStat] = None
 
 
 class Instrumentation(NullInstrumentation):
@@ -79,22 +113,52 @@ class Instrumentation(NullInstrumentation):
         self.flows: NullFlowRecorder = FlowRecorder() if flows is None else flows
         self.live: NullLiveSampler = NULL_LIVE if live is None else live
         self.sim: Optional["Simulator"] = None
+        self._events: Optional[Counter] = None
+        self._events_base = 0
+        self._resources: Dict["Resource", _ResourceInstruments] = {}
+        self._stores: Dict["Store", Tuple[TimeWeightedStat, str]] = {}
         if self.live.enabled:
             self.live.bind(self)
 
     def bind(self, sim: "Simulator") -> None:
-        """Attach to the simulator whose hooks will feed this hub."""
+        """Attach to the simulator whose hooks will feed this hub.
+
+        ``sim.events_processed`` counts the events ``sim`` dispatches from
+        here on.
+        """
         self.sim = sim
+        self._events_base = sim.events_dispatched
 
     # ------------------------------------------------------------------
     # Kernel hooks (sim.core / sim.events)
     # ------------------------------------------------------------------
-    def on_step(self, event: "Event", now: float) -> None:
-        # Close live windows before the event executes or is counted, so
-        # a window holds exactly the activity before its end boundary.
+    def on_step(self, now: float) -> None:
+        """The kernel reached simulated instant ``now``.
+
+        Called once per distinct instant, before the instant's first event
+        is dispatched (the single-event ``Simulator.step`` calls it before
+        each event it dispatches).  Live windows close here, so a window
+        holds exactly the activity before its end boundary.
+        """
         if self.live.enabled:
             self.live.on_step(now)
-        self.metrics.add("sim.events_processed")
+        if self._events is None:
+            self._events = self.metrics.counter("sim.events_processed")
+        self.sync_events()
+
+    def sync_events(self) -> float:
+        """Events dispatched since :meth:`bind`, written to ``sim.events_processed``.
+
+        The kernel counts its dispatches itself; readers of the counter
+        call this first to bring it up to date.  Before the first instant
+        the counter does not exist yet and is not created here.
+        """
+        if self.sim is None:
+            return 0.0
+        count = float(self.sim.events_dispatched - self._events_base)
+        if self._events is not None:
+            self._events.value = count
+        return count
 
     def on_timeout(self, timeout: "Timeout") -> None:
         self.metrics.add("sim.timeouts_created")
@@ -128,57 +192,96 @@ class Instrumentation(NullInstrumentation):
     # ------------------------------------------------------------------
     # Resource hooks (sim.resources)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _resource_key(resource: "Resource") -> str:
-        return resource.name or f"resource@{id(resource):#x}"
+    def _new_resource(self, resource: "Resource") -> _ResourceInstruments:
+        handle = self._resources[resource] = _ResourceInstruments(
+            resource.name or f"resource@{id(resource):#x}"
+        )
+        return handle
 
     def on_resource_wait(self, resource: "Resource") -> None:
-        key = self._resource_key(resource)
+        handle = self._resources.get(resource) or self._new_resource(resource)
         now = resource.sim.now
-        self.metrics.add(f"resource.waits[{key}]")
-        self.metrics.update_series(f"resource.queue[{key}]", now, resource.queue_length)
+        instruments = handle.wait
+        if instruments is None:
+            instruments = handle.wait = (
+                self.metrics.counter(f"resource.waits[{handle.key}]"),
+                self.metrics.time_weighted(f"resource.queue[{handle.key}]", now),
+            )
+        waits, queue = instruments
+        waits.value += 1.0
+        queue.update(now, resource.queue_length)
 
     def on_resource_acquire(self, resource: "Resource", request: "Request") -> None:
-        key = self._resource_key(resource)
+        handle = self._resources.get(resource) or self._new_resource(resource)
         now = resource.sim.now
-        if self.live.enabled:
-            self.live.note_capacity(key, resource.capacity)
-        self.metrics.add(f"resource.acquires[{key}]")
-        self.metrics.update_series(f"resource.busy[{key}]", now, resource.count)
-        self.metrics.update_series(f"resource.queue[{key}]", now, resource.queue_length)
+        instruments = handle.acquire
+        if instruments is None:
+            if self.live.enabled:
+                self.live.note_capacity(handle.key, resource.capacity)
+            instruments = handle.acquire = (
+                self.metrics.counter(f"resource.acquires[{handle.key}]"),
+                self.metrics.time_weighted(f"resource.busy[{handle.key}]", now),
+                self.metrics.time_weighted(f"resource.queue[{handle.key}]", now),
+            )
+        acquires, busy, queue = instruments
+        acquires.value += 1.0
+        busy.update(now, resource.count)
+        queue.update(now, resource.queue_length)
         if self.tracer.enabled:
-            self.tracer.span_begin(now, f"resource:{key}", "hold", ident=id(request))
+            self.tracer.span_begin(now, handle.track, "hold", ident=id(request))
 
     def on_resource_release(self, resource: "Resource", request: "Request") -> None:
-        key = self._resource_key(resource)
+        handle = self._resources.get(resource) or self._new_resource(resource)
         now = resource.sim.now
-        self.metrics.update_series(f"resource.busy[{key}]", now, resource.count)
+        busy = handle.release
+        if busy is None:
+            busy = handle.release = self.metrics.time_weighted(
+                f"resource.busy[{handle.key}]", now
+            )
+        busy.update(now, resource.count)
         if self.tracer.enabled:
-            self.tracer.span_end(now, f"resource:{key}", "hold", ident=id(request))
+            self.tracer.span_end(now, handle.track, "hold", ident=id(request))
 
     def on_resource_withdraw(self, resource: "Resource") -> None:
-        key = self._resource_key(resource)
-        self.metrics.add(f"resource.withdrawals[{key}]")
-        self.metrics.update_series(
-            f"resource.queue[{key}]", resource.sim.now, resource.queue_length
-        )
+        handle = self._resources.get(resource) or self._new_resource(resource)
+        now = resource.sim.now
+        instruments = handle.withdraw
+        if instruments is None:
+            instruments = handle.withdraw = (
+                self.metrics.counter(f"resource.withdrawals[{handle.key}]"),
+                self.metrics.time_weighted(f"resource.queue[{handle.key}]", now),
+            )
+        withdrawals, queue = instruments
+        withdrawals.value += 1.0
+        queue.update(now, resource.queue_length)
 
     # ------------------------------------------------------------------
     # Store hooks (sim.resources)
     # ------------------------------------------------------------------
     def on_store_level(self, store: "Store") -> None:
-        key = store.name or f"store@{id(store):#x}"
         now = store.sim.now
-        self.metrics.update_series(f"store.level[{key}]", now, store.size)
+        entry = self._stores.get(store)
+        if entry is None:
+            key = store.name or f"store@{id(store):#x}"
+            entry = self._stores[store] = (
+                self.metrics.time_weighted(f"store.level[{key}]", now),
+                f"store:{key}",
+            )
+        level, track = entry
+        level.update(now, store.size)
         if self.tracer.enabled:
-            self.tracer.counter(now, f"store:{key}", "size", store.size)
+            self.tracer.counter(now, track, "size", store.size)
 
     # ------------------------------------------------------------------
     # Direct instruments for the models (torus / ethernet / drivers)
     # ------------------------------------------------------------------
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount``."""
-        self.metrics.add(name, amount)
+        counters = self.metrics.counters
+        counter = counters.get(name)
+        if counter is None:
+            counter = counters[name] = Counter()
+        counter.value += amount
 
     def record_level(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (its peak is retained)."""
@@ -204,6 +307,7 @@ class Instrumentation(NullInstrumentation):
         run always carries the latency decomposition alongside the
         counters.
         """
+        self.sync_events()
         self.flows.publish(self.metrics)
         return self.metrics.snapshot(self.now)
 

@@ -22,20 +22,21 @@ Zero cost, even when enabled
 The sampler is deliberately **not** a simulated process.  A periodic
 timeout process would keep the event queue non-empty (changing ``run()``
 termination) and add one event per window even to an otherwise idle sim.
-Instead the sampler piggybacks on the instrumentation hub's per-event
-``on_step`` hook: when the next event's timestamp reaches a window
-boundary, every whole window up to it is closed *before* that event
-executes.  Window contents are computed from the metric registry's
-time-weighted integrals evaluated exactly at the boundary
+Instead the sampler piggybacks on the instrumentation hub's ``on_step``
+hook, which the kernel calls once per distinct simulated instant: when the
+next instant reaches a window boundary, every whole window up to it is
+closed *before* that instant's first event executes.  Window contents are
+computed from the metric registry's time-weighted integrals evaluated
+exactly at the boundary
 (:meth:`~repro.obs.metrics.TimeWeightedStat.integral_at`), so boundaries
 need no events of their own and the sampler adds **zero events** to the
 simulation — the overhead benchmark pins this.
 
 Windows are half-open ``[start, end)``: an event scheduled exactly at a
-boundary belongs to the following window, because its ``on_step`` closes
-the preceding window before any of its callbacks run.  The trailing
-partial window is closed by :meth:`LiveSampler.finalize` (exporters and
-the CLI call it; it is idempotent).
+boundary belongs to the following window, because its instant's
+``on_step`` closes the preceding window before any of its callbacks run.
+The trailing partial window is closed by :meth:`LiveSampler.finalize`
+(exporters and the CLI call it; it is idempotent).
 
 Like the tracer and flow recorder, the disabled twin
 (:data:`NULL_LIVE`, a shared :class:`NullLiveSampler`) is installed on
@@ -45,6 +46,7 @@ check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -187,7 +189,7 @@ class LiveSampler(NullLiveSampler):
     """Streaming windowed telemetry over one instrumented simulation.
 
     Args:
-        window: Window length in simulated seconds (> 0).
+        window: Window length in simulated seconds (finite and > 0).
         detector: The health detector fed at each boundary; defaults to a
             fresh :class:`~repro.obs.health.ContinuousBottleneckDetector`
             with stock hysteresis.
@@ -213,8 +215,10 @@ class LiveSampler(NullLiveSampler):
     def __init__(self, window: float = DEFAULT_WINDOW,
                  detector: Optional[ContinuousBottleneckDetector] = None,
                  on_window: Optional[Callable[[WindowSample], None]] = None):
-        if window <= 0.0:
-            raise ValueError(f"window must be > 0 simulated seconds, got {window!r}")
+        if not (math.isfinite(window) and window > 0.0):
+            raise ValueError(
+                f"window must be finite and > 0 simulated seconds, got {window!r}"
+            )
         self.window = window
         self.detector = detector if detector is not None else ContinuousBottleneckDetector()
         self.latency = LatencySketch()           # cumulative end-to-end
@@ -296,9 +300,10 @@ class LiveSampler(NullLiveSampler):
     def on_step(self, now: float) -> None:
         """Close every whole window whose boundary the clock has reached.
 
-        Called by ``Instrumentation.on_step`` *before* the current event
-        is counted or executed, so a window's contents are exactly the
-        activity strictly before its end boundary.
+        Called by ``Instrumentation.on_step`` at each simulated instant,
+        *before* the instant's first event is counted or executed, so a
+        window's contents are exactly the activity strictly before its end
+        boundary.
         """
         while not self._finalized and now >= self._boundary:
             self._close(self._boundary, self.window)
@@ -350,8 +355,7 @@ class LiveSampler(NullLiveSampler):
         metrics = obs.metrics
         start = end - span
 
-        counter = metrics.counters.get("sim.events_processed")
-        events_total = counter.value if counter is not None else 0.0
+        events_total = obs.sync_events()
         events = int(events_total - self._prev_events)
         self._prev_events = events_total
 

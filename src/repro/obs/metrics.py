@@ -67,8 +67,10 @@ class TimeWeightedStat:
         """Record that the level changed to ``value`` at time ``now``."""
         dt = now - self._last_ts
         if dt > 0.0:
-            self.integral += self.current * dt
-            self.dwell[self.current] = self.dwell.get(self.current, 0.0) + dt
+            current = self.current
+            self.integral += current * dt
+            dwell = self.dwell
+            dwell[current] = dwell.get(current, 0.0) + dt
         self._last_ts = now
         self.current = value
         if value > self.maximum:
@@ -166,13 +168,19 @@ class MetricsRegistry:
     # Convenience mutators
     # ------------------------------------------------------------------
     def add(self, name: str, amount: float = 1.0) -> None:
-        self.counter(name).add(amount)
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counters[name] = Counter()
+        counter.value += amount
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
 
     def update_series(self, name: str, now: float, value: float) -> None:
-        self.time_weighted(name, start_ts=now).update(now, value)
+        series = self.series.get(name)
+        if series is None:
+            series = self.series[name] = TimeWeightedStat(now)
+        series.update(now, value)
 
     # ------------------------------------------------------------------
     # Export

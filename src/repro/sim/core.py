@@ -72,8 +72,9 @@ class Simulator:
         self._push = self._scheduler.push
         self._active_process: Optional[Process] = None
         #: Events dispatched over this simulator's lifetime.  Counted by the
-        #: drain loops themselves (no obs hook needed), so throughput
-        #: figures can report events/sec on uninstrumented runs.
+        #: dispatch loop itself (no obs hook needed), so throughput figures
+        #: can report events/sec on uninstrumented runs; the obs hub's
+        #: ``sim.events_processed`` counter is read from it.
         self.events_dispatched: int = 0
         # Observability hub; NULL_OBS.enabled is False, so every hook site
         # reduces to one attribute check when no instrumentation was asked
@@ -148,9 +149,9 @@ class Simulator:
         if when < self._now:
             raise SimulationError("event scheduled in the past (scheduler bug)")
         self._now = when
-        self.events_dispatched += 1
         if self.obs.enabled:
-            self.obs.on_step(event, when)
+            self.obs.on_step(when)
+        self.events_dispatched += 1
         callbacks = event.callbacks
         event.callbacks = None
         if len(callbacks) == 1:
@@ -194,8 +195,9 @@ class Simulator:
         """Dispatch a batched (calendar-queue) scheduler up to ``limit``.
 
         One bucket holds every event of one distinct timestamp; the loop
-        sets ``self._now`` once per bucket and dispatches the whole run
-        without re-entering the scheduler.  The urgent list is re-checked
+        sets ``self._now`` once per bucket, calls the obs hub's ``on_step``
+        once per bucket before its first dispatch, and dispatches the whole
+        run without re-entering the scheduler.  The urgent list is re-checked
         before every dispatch and the list lengths are re-read live, so
         events scheduled *during* the drain — same-time handoffs, urgent
         interrupts — are picked up in exactly the ``(when, rank, seq)``
@@ -206,62 +208,59 @@ class Simulator:
         obs = self.obs
         times = scheduler._times
         buckets = scheduler._buckets
-        dispatched = 0
-        try:
-            while times:
-                when = times[0]
-                if when > limit:
-                    break
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past (scheduler bug)")
-                self._now = when
-                bucket = buckets[when]
-                urgent = bucket[0]
-                normal = bucket[1]
-                # The cursors live in locals for the drain: callbacks only
-                # ever *append* to the bucket's lists (via push), never touch
-                # the cursors, so the write-back in the finally is the single
-                # point of truth if a dispatch raises mid-bucket.
-                ui = bucket[2]
-                ni = bucket[3]
-                try:
-                    while True:
-                        # Consumed slots are nulled out so event objects are
-                        # freed as they dispatch; a long same-time bucket
-                        # would otherwise pin every event of the burst live
-                        # and stall the cyclic GC on the growing list.
-                        if ui < len(urgent):
-                            event = urgent[ui]
-                            urgent[ui] = None
-                            ui += 1
-                        elif ni < len(normal):
-                            event = normal[ni]
-                            normal[ni] = None
-                            ni += 1
-                        else:
-                            break
-                        if obs.enabled:
-                            obs.on_step(event, when)
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for callback in callbacks:
-                                callback(event)
-                        if event._ok is False and not event._defused:
-                            exc = event._value
-                            raise SimulationError(
-                                f"unhandled failure in simulation: {exc!r}"
-                            ) from exc
-                finally:
-                    dispatched += ui - bucket[2] + ni - bucket[3]
-                    bucket[2] = ui
-                    bucket[3] = ni
-                del buckets[when]
-                heappop(times)
-        finally:
-            self.events_dispatched += dispatched
+        while times:
+            when = times[0]
+            if when > limit:
+                break
+            if when < self._now:
+                raise SimulationError("event scheduled in the past (scheduler bug)")
+            self._now = when
+            if obs.enabled:
+                obs.on_step(when)
+            bucket = buckets[when]
+            urgent = bucket[0]
+            normal = bucket[1]
+            # The cursors live in locals for the drain: callbacks only
+            # ever *append* to the bucket's lists (via push), never touch
+            # the cursors, so the write-back in the finally (cursors and
+            # dispatch count) is the single point of truth if a dispatch
+            # raises mid-bucket.
+            ui = bucket[2]
+            ni = bucket[3]
+            try:
+                while True:
+                    # Consumed slots are nulled out so event objects are
+                    # freed as they dispatch; a long same-time bucket
+                    # would otherwise pin every event of the burst live
+                    # and stall the cyclic GC on the growing list.
+                    if ui < len(urgent):
+                        event = urgent[ui]
+                        urgent[ui] = None
+                        ui += 1
+                    elif ni < len(normal):
+                        event = normal[ni]
+                        normal[ni] = None
+                        ni += 1
+                    else:
+                        break
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        for callback in callbacks:
+                            callback(event)
+                    if event._ok is False and not event._defused:
+                        exc = event._value
+                        raise SimulationError(
+                            f"unhandled failure in simulation: {exc!r}"
+                        ) from exc
+            finally:
+                self.events_dispatched += ui - bucket[2] + ni - bucket[3]
+                bucket[2] = ui
+                bucket[3] = ni
+            del buckets[when]
+            heappop(times)
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Start ``generator`` as a process, run to completion, return its value.
