@@ -12,6 +12,10 @@ workloads with *no* user allocation sequences:
 The cost-based placer should match the hand-coded rules on the inbound
 workload (it rediscovers Query 5's topology) and beat naive on the
 intra-BlueGene merge workload, where the rules of thumb do not apply.
+
+``test_replace_one_sweep`` times the adaptive controller's decide step on
+its own: ``replace_one`` for every BlueGene SP of the fig8 adaptive
+point's live deployment, tick after tick, on one (memoising) placer.
 """
 
 import pytest
@@ -19,11 +23,15 @@ import pytest
 from repro.coordinator import ClientManager, CoordinatorRegistry
 from repro.coordinator.allocation import KnowledgeBasedSelector
 from repro.core.experiments.ablations import automatic_inbound_query
+from repro.core.experiments.fig8 import SEQUENTIAL, merge_query
+from repro.core.multiquery import MultiQuerySession
 from repro.engine import ExecutionSettings
 from repro.hardware import Environment
+from repro.hardware.environment import BLUEGENE
 from repro.optimizer import CostBasedPlacer
 from repro.scsql.compiler import QueryCompiler
 from repro.scsql.parser import parse_query
+from repro.scsql.plan import compile_plan
 
 MERGE_QUERY = """
 select extract(c)
@@ -92,3 +100,37 @@ def test_optimizer_comparison(results):
     # Merge: the rules of thumb don't cover torus adjacency; the search does.
     assert results[("merge", "cost")] > 1.1 * results[("merge", "naive")]
     assert results[("merge", "cost")] >= 0.95 * results[("merge", "knowledge")]
+
+
+#: Control ticks per round of the replace_one sweep.
+SWEEP_TICKS = 50
+
+
+def test_replace_one_sweep(benchmark):
+    """The decide step of ``adaptive[fig8]``: every BlueGene SP, N ticks."""
+    env = Environment()
+    session = MultiQuerySession(env)
+    session.submit(
+        compile_plan(merge_query(1_000_000, 30, *SEQUENTIAL)),
+        payload_bytes=1,
+        label="q8",
+        settings=ExecutionSettings(mpi_buffer_bytes=100_000, double_buffering=True),
+    )
+    deployment = session.deployment("q8")
+    graph = deployment.graph
+    current = {sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps}
+    victims = [sp_id for sp_id in sorted(graph.sps) if graph.sps[sp_id].cluster == BLUEGENE]
+    calibration = {"torus": 0.8}
+
+    def sweep():
+        placer = CostBasedPlacer(env, deployment.settings)
+        moves = []
+        for _ in range(SWEEP_TICKS):
+            for sp_id in victims:
+                moves.append(placer.replace_one(graph, sp_id, current, calibration))
+        return moves
+
+    moves = benchmark.pedantic(sweep, iterations=1, rounds=3)
+    session.teardown()
+    assert len(moves) == SWEEP_TICKS * len(victims)
+    assert all(score > 0.0 for _, score in moves)

@@ -64,8 +64,10 @@ HOT_PACKAGES = ("sim", "net", "engine", "hardware")
 #: Individual modules outside the hot packages that sit on the
 #: simulation's decision path and must obey the same determinism rules.
 #: The adaptive controller steps the simulator and picks migration
-#: victims — any nondeterminism there reorders every event after it.
-HOT_MODULES = (("core", "adaptive.py"),)
+#: victims — any nondeterminism there reorders every event after it.  The
+#: cost-based placer decides those victims' targets and keeps memoised
+#: state across controller ticks.
+HOT_MODULES = (("core", "adaptive.py"), ("optimizer", "placement.py"))
 
 #: Wall-clock attribute calls banned in hot packages (DET001).
 WALL_CLOCK_CALLS = {

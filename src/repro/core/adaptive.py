@@ -26,12 +26,13 @@ replays the stream from its sources, so thrash costs real time.
 Everything here is a pure function of the simulated event stream: no
 wall clock, no unseeded randomness, deterministic victim selection
 (labels and sp ids are visited in sorted order, strict-improvement
-tie-breaks keep the first).  The module is covered by the DET001–005
+tie-breaks keep the first).  The module is covered by the DET001–007
 hot-path lint rules (see ``repro.analysis.lint.HOT_MODULES``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -87,22 +88,25 @@ class AdaptiveConfig:
     max_factor: float = 20.0
 
     def __post_init__(self):
-        if self.check_interval <= 0.0:
+        # Every comparison with nan is false, so the finiteness checks come
+        # first: a nan interval would stop the controller from ever
+        # deciding, a nan improvement factor would accept every move.
+        if not (math.isfinite(self.check_interval) and self.check_interval > 0.0):
             raise QueryExecutionError(
-                f"check_interval must be > 0, got {self.check_interval!r}"
+                f"check_interval must be finite and > 0, got {self.check_interval!r}"
             )
-        if self.cooldown < 0.0:
+        if not (math.isfinite(self.cooldown) and self.cooldown >= 0.0):
             raise QueryExecutionError(
-                f"cooldown must be >= 0, got {self.cooldown!r}"
+                f"cooldown must be finite and >= 0, got {self.cooldown!r}"
             )
         if self.budget < 0:
             raise QueryExecutionError(
                 f"budget must be >= 0, got {self.budget!r}"
             )
-        if self.improvement_factor <= 1.0:
+        if not (math.isfinite(self.improvement_factor) and self.improvement_factor > 1.0):
             raise QueryExecutionError(
-                "improvement_factor must be > 1 (a migration must predict a "
-                f"strict improvement), got {self.improvement_factor!r}"
+                "improvement_factor must be finite and > 1 (a migration must "
+                f"predict a strict improvement), got {self.improvement_factor!r}"
             )
         if self.verify not in (None, "warn", "strict"):
             raise QueryExecutionError(
@@ -145,6 +149,9 @@ class AdaptiveController:
         #: subject -> the alert that made it unhealthy; insertion-ordered,
         #: pruned when the detector reports the subject recovered.
         self._unhealthy: Dict[str, HealthEvent] = {}
+        #: live deployment -> its (placer, current placement); the entry of
+        #: a replaced deployment is dropped when it is migrated away.
+        self._deciders: Dict[Deployment, Tuple[CostBasedPlacer, Dict[str, int]]] = {}
 
     # ------------------------------------------------------------------
     # Observe: detector subscription
@@ -216,6 +223,25 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     # Decide: calibrated incremental re-placement
     # ------------------------------------------------------------------
+    def _decider(
+        self, deployment: Deployment
+    ) -> Tuple[CostBasedPlacer, Dict[str, int]]:
+        """The placer and current ``sp_id -> node`` map of a deployment.
+
+        One placer per deployment generation, so its memoised bounds
+        survive across ticks; a migration deploys a fresh graph, and the
+        next call for that query builds a fresh placer.
+        """
+        decider = self._deciders.get(deployment)
+        if decider is None:
+            current = {
+                sp_id: deployment.rps[sp_id].node.index
+                for sp_id in deployment.graph.sps
+            }
+            placer = CostBasedPlacer(self.session.env, deployment.settings)
+            decider = self._deciders[deployment] = (placer, current)
+        return decider
+
     def _calibration(self) -> Optional[Dict[str, float]]:
         """Measured/predicted factors per bound family, from the last window.
 
@@ -240,11 +266,8 @@ class AdaptiveController:
             deployment = entry.deployment
             if not _is_running(deployment):
                 continue
-            placer = CostBasedPlacer(session.env, deployment.settings)
+            placer, current = self._decider(deployment)
             graph = deployment.graph
-            current = {
-                sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps
-            }
             bounds = placer.predicted_bounds(graph, current)
             if not bounds:
                 continue
@@ -291,11 +314,8 @@ class AdaptiveController:
             deployment = entry.deployment
             if not _is_running(deployment):
                 continue
-            placer = CostBasedPlacer(session.env, deployment.settings)
+            placer, current = self._decider(deployment)
             graph = deployment.graph
-            current = {
-                sp_id: deployment.rps[sp_id].node.index for sp_id in graph.sps
-            }
             current_score = placer.predicted_bandwidth(graph, current, measured)
             if not 0.0 < current_score < float("inf"):
                 continue
@@ -338,6 +358,7 @@ class AdaptiveController:
             rp_prefix=prefix, verify=config.verify,
         )
         self._generation[entry.label] = generation
+        self._deciders.pop(entry.deployment, None)
         entry.deployment = replacement
         session._labels[entry.label] = replacement
         replacement.start(stop_after=entry.stop_after)

@@ -57,6 +57,7 @@ from repro.util.units import MEGA
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.flow import FlowRecord
     from repro.obs.instrument import Instrumentation
+    from repro.obs.metrics import TimeWeightedStat
 
 __all__ = [
     "WindowSample",
@@ -185,6 +186,21 @@ class _WindowAccumulator:
         self.sp_bytes: Dict[str, float] = {}
 
 
+class _TrackedSeries:
+    """One busy/level registry series and its integral at the last close."""
+
+    __slots__ = ("is_busy", "key", "series", "previous")
+
+    def __init__(self, is_busy: bool, key: str, series: "TimeWeightedStat") -> None:
+        self.is_busy = is_busy
+        self.key = key
+        self.series = series
+        self.previous = 0.0
+
+    def order(self) -> Tuple[bool, str]:
+        return self.is_busy, self.key
+
+
 class LiveSampler(NullLiveSampler):
     """Streaming windowed telemetry over one instrumented simulation.
 
@@ -206,7 +222,7 @@ class LiveSampler(NullLiveSampler):
     __slots__ = (
         "window", "detector", "latency", "hop_latency", "flows_completed",
         "bytes_delivered", "_windows", "_on_window", "_obs", "_boundary",
-        "_index", "_acc", "_prev_busy", "_prev_level", "_prev_events",
+        "_index", "_acc", "_tracked", "_scanned", "_prev_events",
         "_capacity", "_finalized",
     )
 
@@ -233,8 +249,10 @@ class LiveSampler(NullLiveSampler):
         self._boundary = window
         self._index = 0
         self._acc = _WindowAccumulator()
-        self._prev_busy: Dict[str, float] = {}
-        self._prev_level: Dict[str, float] = {}
+        #: Every busy/level registry series, sorted by ``(is_busy, key)``.
+        self._tracked: List[_TrackedSeries] = []
+        #: How many registry series have been classified so far.
+        self._scanned = 0
         self._prev_events = 0.0
         self._capacity: Dict[str, float] = {}
         self._finalized = False
@@ -359,23 +377,22 @@ class LiveSampler(NullLiveSampler):
         events = int(events_total - self._prev_events)
         self._prev_events = events_total
 
+        self._track_new_series(metrics.series)
         utilization: Dict[str, float] = {}
         queues: Dict[str, float] = {}
-        for name, series in metrics.series.items():
-            if name.startswith(_BUSY_PREFIX):
-                key = name[len(_BUSY_PREFIX):-1]
-                integral = series.integral_at(end)
-                busy = integral - self._prev_busy.get(name, 0.0)
-                self._prev_busy[name] = integral
-                capacity = self._capacity.get(key, 1.0)
+        capacities = self._capacity
+        for tracked in self._tracked:
+            integral = tracked.series.integral_at(end)
+            delta = integral - tracked.previous
+            tracked.previous = integral
+            if tracked.is_busy:
+                capacity = capacities.get(tracked.key, 1.0)
                 denominator = span * capacity if capacity > 0.0 else span
-                utilization[key] = busy / denominator if denominator > 0.0 else 0.0
-            elif name.startswith(_LEVEL_PREFIX):
-                key = name[len(_LEVEL_PREFIX):-1]
-                integral = series.integral_at(end)
-                level = integral - self._prev_level.get(name, 0.0)
-                self._prev_level[name] = integral
-                queues[key] = level / span if span > 0.0 else 0.0
+                utilization[tracked.key] = (
+                    delta / denominator if denominator > 0.0 else 0.0
+                )
+            else:
+                queues[tracked.key] = delta / span if span > 0.0 else 0.0
 
         acc = self._acc
         in_flight_by_base: Dict[str, int] = {}
@@ -396,8 +413,8 @@ class LiveSampler(NullLiveSampler):
                 acc.nbytes * 8.0 / MEGA / span if span > 0.0 else 0.0
             ),
             latency=acc.sketch.summary(),
-            utilization={k: utilization[k] for k in sorted(utilization)},
-            queues={k: queues[k] for k in sorted(queues)},
+            utilization=utilization,
+            queues=queues,
             stream_bytes={k: acc.stream_bytes[k] for k in sorted(acc.stream_bytes)},
             sp_bytes={k: acc.sp_bytes[k] for k in sorted(acc.sp_bytes)},
         )
@@ -409,6 +426,27 @@ class LiveSampler(NullLiveSampler):
         )
         if self._on_window is not None:
             self._on_window(sample)
+
+    def _track_new_series(self, series: Dict[str, "TimeWeightedStat"]) -> None:
+        """Start tracking the busy/level series registered since the last close.
+
+        The registry only ever appends series, so the ones past the
+        ``_scanned`` mark are exactly the new ones.  A new series starts
+        from a zero integral, as if it had been tracked all along.
+        Records are kept sorted by key, which is the order the window's
+        ``utilization`` and ``queues`` dicts are emitted in.
+        """
+        if len(series) == self._scanned:
+            return
+        added = list(series.items())[self._scanned:]
+        self._scanned = len(series)
+        tracked = self._tracked
+        for name, stat in added:
+            if name.startswith(_BUSY_PREFIX):
+                tracked.append(_TrackedSeries(True, name[len(_BUSY_PREFIX):-1], stat))
+            elif name.startswith(_LEVEL_PREFIX):
+                tracked.append(_TrackedSeries(False, name[len(_LEVEL_PREFIX):-1], stat))
+        tracked.sort(key=_TrackedSeries.order)
 
     def finalize(self, now: Optional[float] = None) -> None:
         """Close the trailing partial window at ``now`` (idempotent).

@@ -132,7 +132,12 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """A flat namespace of counters, gauges, and time-weighted stats."""
+    """A flat namespace of counters, gauges, and time-weighted stats.
+
+    Instruments are created on first use and never removed or replaced:
+    ``series`` only grows, in insertion order, which lets the live sampler
+    classify just the series added since its last window.
+    """
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}

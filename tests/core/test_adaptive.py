@@ -96,6 +96,12 @@ class TestAdaptiveConfig:
             ({"verify": "maybe"}, "verify"),
             ({"min_factor": 0.0}, "min_factor"),
             ({"min_factor": 2.0, "max_factor": 1.0}, "min_factor"),
+            ({"check_interval": float("nan")}, "check_interval"),
+            ({"check_interval": float("inf")}, "check_interval"),
+            ({"cooldown": float("nan")}, "cooldown"),
+            ({"cooldown": float("inf")}, "cooldown"),
+            ({"improvement_factor": float("nan")}, "improvement_factor"),
+            ({"improvement_factor": float("inf")}, "improvement_factor"),
         ],
     )
     def test_rejects_invalid_knobs(self, kwargs, match):
